@@ -100,7 +100,7 @@ func SimulateElastic(cfg ElasticSimConfig) ElasticSimResult {
 				t = w / (rg + cpuRate)
 			}
 			// Look-ahead: only the panel's excess over the update surfaces.
-			panelSec := float64(nb) * float64(nb) * (float64(m) + float64(nb)/3) / (elasticPanelRate * 1e9)
+			panelSec := float64(nb) * float64(nb) * (float64(m) + float64(nb)/3) / (panelRate * 1e9)
 			if panelSec > t {
 				t = panelSec
 			}
@@ -119,7 +119,7 @@ func SimulateElastic(cfg ElasticSimConfig) ElasticSimResult {
 		// prefix like any trailing column), so only the excess of the encode
 		// pipeline over the iteration lands on the critical path.
 		if cfg.Parity && q >= 2 {
-			enc := linkSec(colBytes) + float64(colBytes)/(elasticMemGBps*1e9)
+			enc := linkSec(colBytes) + float64(colBytes)/(memGBps*1e9)
 			if enc > t {
 				res.EncodeSeconds += enc - t
 				t = enc
@@ -160,7 +160,7 @@ func SimulateElastic(cfg ElasticSimConfig) ElasticSimResult {
 		// adopters so only the per-adopter share serializes.
 		perAdopterPar := (lostFactored + adopters - 1) / adopters
 		rec += float64(perAdopterPar) * float64(q-1) *
-			(linkSec(colBytes) + float64(colBytes)/(elasticMemGBps*1e9))
+			(linkSec(colBytes) + float64(colBytes)/(memGBps*1e9))
 		// Replays: each lost trailing column regenerates and re-applies the
 		// kf factored iterations on the adopter's GPU; the panel history
 		// ships once per adopter (the factored prefix, pipelined).
@@ -177,7 +177,7 @@ func SimulateElastic(cfg ElasticSimConfig) ElasticSimResult {
 		// Re-encode: stripes that lost their holder plus the rebuilt columns'
 		// new stripes re-fold from live columns.
 		reencode := kf/adopters + lostFactored
-		rec += float64(reencode) * (linkSec(colBytes) + float64(colBytes)/(elasticMemGBps*1e9))
+		rec += float64(reencode) * (linkSec(colBytes) + float64(colBytes)/(memGBps*1e9))
 		res.RecoverySeconds = rec
 		res.Seconds += rec
 

@@ -106,14 +106,6 @@ func TestSolveDistributedSmallGPU(t *testing.T) {
 	}
 }
 
-func TestLocalBlocks(t *testing.T) {
-	got := localBlocks(7, 1, 3)
-	want := []int{1, 4}
-	if len(got) != len(want) || got[0] != 1 || got[1] != 4 {
-		t.Fatalf("localBlocks = %v", got)
-	}
-}
-
 func TestMoreRanksNotSlower(t *testing.T) {
 	// Weak sanity: with enough work, 4 ranks should beat 1 rank in virtual
 	// makespan despite communication.
