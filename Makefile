@@ -64,7 +64,7 @@ graphbench:
 # fuzz gives each native fuzz target a short fixed budget on top of its
 # checked-in seed corpus. New crashers land in testdata/fuzz/ — commit them.
 fuzz:
-	go test -run '^$$' -fuzz '^FuzzDGEMMPackedVsNaive$$' -fuzztime 10s ./internal/blas
+	go test -run '^$$' -fuzz '^FuzzDgemmVsNaive$$' -fuzztime 10s ./internal/blas
 	go test -run '^$$' -fuzz '^FuzzScheduleInvariants$$' -fuzztime 10s ./internal/pipeline
 	go test -run '^$$' -fuzz '^FuzzChecksumCodec$$' -fuzztime 10s ./internal/abft
 	go test -run '^$$' -fuzz '^FuzzJobCodec$$' -fuzztime 10s ./internal/serve

@@ -224,21 +224,3 @@ func BenchmarkHybridGemmReal(b *testing.B) {
 		run.Gemm(1, a, bb, 0, c, el.Now())
 	}
 }
-
-// BenchmarkDgemmPacked measures the GotoBLAS-style packed micro-kernel
-// against the axpy kernel of the same size (see BenchmarkDgemm256).
-func BenchmarkDgemmPacked256(b *testing.B) {
-	r := sim.NewRNG(5)
-	n := 256
-	a := matrix.NewDense(n, n)
-	bb := matrix.NewDense(n, n)
-	c := matrix.NewDense(n, n)
-	a.FillRandom(r)
-	bb.FillRandom(r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blas.DgemmPacked(1, a, bb, 0, c)
-	}
-	flops := blas.GemmFlops(n, n, n)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-}

@@ -205,7 +205,7 @@ func Classify(faults int, inChecksum bool) Outcome {
 }
 
 // HostVerifyGFLOPS is the effective host rate of the checksum arithmetic:
-// GEMV-shaped streaming passes, memory-bound, well below the packed DGEMM
+// GEMV-shaped streaming passes, memory-bound, well below the DGEMM
 // rate of the compute cores.
 const HostVerifyGFLOPS = 8.0
 

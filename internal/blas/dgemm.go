@@ -58,18 +58,22 @@ func DgemmNaive(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float6
 	}
 }
 
-// Dgemm computes C = alpha*op(A)*op(B) + beta*C with a cache-blocked kernel.
-// The NoTrans/NoTrans case — the only one on HPL's critical path — runs a
-// column-axpy kernel blocked over K; the transposed cases route through the
-// packed kernel, whose packing step reads op(X) element-wise into pooled
-// fixed-size buffers, so no O(m·k) transposed copy is ever allocated.
+// Dgemm computes C = alpha*A*B + beta*C with a column-axpy kernel blocked
+// over K. It keeps the BLAS signature, but only the NoTrans/NoTrans case —
+// the one on HPL's critical path — is implemented: a transposed operand
+// panics, the same way a shape mismatch does.
 func Dgemm(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense) {
-	gemmDims(tA, tB, a, b, c)
-	if tA == Trans || tB == Trans {
-		DgemmPackedOp(tA, tB, alpha, a, b, beta, c)
-		return
-	}
+	checkNoTrans(tA, tB, a, b, c)
 	dgemmNN(alpha, a, b, beta, c)
+}
+
+// checkNoTrans panics unless both operands are untransposed and the shapes
+// agree.
+func checkNoTrans(tA, tB Transpose, a, b, c *matrix.Dense) {
+	if tA == Trans || tB == Trans {
+		panic("blas: Dgemm supports only NoTrans operands")
+	}
+	gemmDims(tA, tB, a, b, c)
 }
 
 // dgemmNN is the blocked NoTrans/NoTrans kernel.
@@ -108,19 +112,15 @@ func scaleMatrix(beta float64, c *matrix.Dense) {
 	}
 }
 
-// DgemmParallel computes C = alpha*op(A)*op(B) + beta*C, fanning slabs of C
-// columns out to workers goroutines. Workers own disjoint column ranges of C,
-// so no synchronization beyond the final join is needed. Transposed operands
-// go through DgemmPackedParallel, which linearizes op(X) inside per-worker
-// pooled pack buffers instead of materializing a transposed copy per call.
+// DgemmParallel computes C = alpha*A*B + beta*C, fanning slabs of C columns
+// out to workers goroutines. Workers own disjoint column ranges of C, so no
+// synchronization beyond the final join is needed, and every column sees
+// the serial accumulation order: the result is bit-identical for any worker
+// count. Like Dgemm, it panics on a transposed operand.
 func DgemmParallel(tA, tB Transpose, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense, workers int) {
-	gemmDims(tA, tB, a, b, c)
-	if tA == Trans || tB == Trans {
-		DgemmPackedParallel(tA, tB, alpha, a, b, beta, c, workers)
-		return
-	}
+	checkNoTrans(tA, tB, a, b, c)
 	if workers <= 1 || c.Cols < 2*gemmNC {
-		Dgemm(tA, tB, alpha, a, b, beta, c)
+		dgemmNN(alpha, a, b, beta, c)
 		return
 	}
 	type slab struct{ j0, j1 int }

@@ -7,43 +7,50 @@ import (
 	"tianhe/internal/sim"
 )
 
-func gemmCase(t *testing.T, tA, tB Transpose, m, n, k int, alpha, beta float64, seed uint64) {
+func gemmCase(t *testing.T, m, n, k int, alpha, beta float64, seed uint64) {
 	t.Helper()
 	r := sim.NewRNG(seed)
-	ar, ac := m, k
-	if tA == Trans {
-		ar, ac = k, m
-	}
-	br, bc := k, n
-	if tB == Trans {
-		br, bc = n, k
-	}
-	a := randDense(r, ar, ac)
-	b := randDense(r, br, bc)
+	a := randDense(r, m, k)
+	b := randDense(r, k, n)
 	c0 := randDense(r, m, n)
 
 	want := c0.Clone()
-	DgemmNaive(tA, tB, alpha, a, b, beta, want)
+	DgemmNaive(NoTrans, NoTrans, alpha, a, b, beta, want)
 
 	got := c0.Clone()
-	Dgemm(tA, tB, alpha, a, b, beta, got)
+	Dgemm(NoTrans, NoTrans, alpha, a, b, beta, got)
 	if d := got.MaxDiff(want); d > 1e-11 {
-		t.Fatalf("Dgemm(%v,%v,%dx%dx%d,a=%v,b=%v) diff=%v", tA, tB, m, n, k, alpha, beta, d)
+		t.Fatalf("Dgemm(%dx%dx%d,a=%v,b=%v) diff=%v", m, n, k, alpha, beta, d)
 	}
 
 	gotP := c0.Clone()
-	DgemmParallel(tA, tB, alpha, a, b, beta, gotP, 4)
+	DgemmParallel(NoTrans, NoTrans, alpha, a, b, beta, gotP, 4)
 	if d := gotP.MaxDiff(want); d > 1e-11 {
 		t.Fatalf("DgemmParallel diff=%v", d)
 	}
 }
 
+// TestDgemmAllTransCombos: NoTrans/NoTrans is the one implemented case;
+// every combination with a transposed operand panics in both Dgemm and
+// DgemmParallel, the same way a shape mismatch does.
 func TestDgemmAllTransCombos(t *testing.T) {
-	combos := []struct{ tA, tB Transpose }{
-		{NoTrans, NoTrans}, {Trans, NoTrans}, {NoTrans, Trans}, {Trans, Trans},
-	}
-	for i, c := range combos {
-		gemmCase(t, c.tA, c.tB, 13, 9, 7, 1.5, 0.5, uint64(100+i))
+	gemmCase(t, 13, 9, 7, 1.5, 0.5, 100)
+	combos := []struct{ tA, tB Transpose }{{Trans, NoTrans}, {NoTrans, Trans}, {Trans, Trans}}
+	for _, c := range combos {
+		sq := matrix.NewDense(8, 8)
+		for name, call := range map[string]func(){
+			"Dgemm":         func() { Dgemm(c.tA, c.tB, 1, sq, sq, 0, matrix.NewDense(8, 8)) },
+			"DgemmParallel": func() { DgemmParallel(c.tA, c.tB, 1, sq, sq, 0, matrix.NewDense(8, 8), 4) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s(%v,%v) must panic on a transposed operand", name, c.tA, c.tB)
+					}
+				}()
+				call()
+			}()
+		}
 	}
 }
 
@@ -54,14 +61,14 @@ func TestDgemmShapes(t *testing.T) {
 		{300, 10, 10}, {10, 300, 10}, {10, 10, 300},
 	}
 	for i, s := range shapes {
-		gemmCase(t, NoTrans, NoTrans, s[0], s[1], s[2], 1, 0, uint64(200+i))
+		gemmCase(t, s[0], s[1], s[2], 1, 0, uint64(200+i))
 	}
 }
 
 func TestDgemmBlockingBoundaries(t *testing.T) {
 	// K values straddling the blocking constant exercise the panel loop.
 	for _, k := range []int{gemmKC - 1, gemmKC, gemmKC + 1, 2*gemmKC + 3} {
-		gemmCase(t, NoTrans, NoTrans, 9, 11, k, 1, 1, uint64(300+k))
+		gemmCase(t, 9, 11, k, 1, 1, uint64(300+k))
 	}
 }
 
@@ -70,7 +77,7 @@ func TestDgemmAlphaBetaSpecialCases(t *testing.T) {
 		{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {-1, 0.25}, {2, -1},
 	}
 	for i, c := range cases {
-		gemmCase(t, NoTrans, NoTrans, 12, 12, 12, c.alpha, c.beta, uint64(400+i))
+		gemmCase(t, 12, 12, 12, c.alpha, c.beta, uint64(400+i))
 	}
 }
 

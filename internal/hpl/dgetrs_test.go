@@ -26,7 +26,7 @@ func TestDgetrsTranspose(t *testing.T) {
 	xTrue := matrix.NewDense(48, 3)
 	xTrue.FillRandom(sim.NewRNG(4))
 	b := matrix.NewDense(48, 3)
-	blas.Dgemm(blas.Trans, blas.NoTrans, 1, a, xTrue, 0, b)
+	blas.Dgemm(blas.NoTrans, blas.NoTrans, 1, a.Transpose(), xTrue, 0, b)
 	Dgetrs(blas.Trans, lu, ipiv, b)
 	if d := b.MaxDiff(xTrue); d > 1e-9 {
 		t.Fatalf("transpose multi-rhs solve off by %v", d)
