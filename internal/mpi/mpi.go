@@ -57,6 +57,7 @@ type World struct {
 	mu     sync.Mutex
 	queues map[int]*rankQueue // keyed by destination rank
 	comms  []*Comm
+	all    []int // every rank, ascending: the world as a group
 
 	// Failure registry (see failure.go): ranks that called Die, keyed to
 	// the virtual instant their clock stopped. Nil until the first death.
@@ -173,6 +174,7 @@ func NewWorld(cfg Config) *World {
 			c.trace = telemetry.NewTracer()
 		}
 		w.comms = append(w.comms, c)
+		w.all = append(w.all, r)
 	}
 	return w
 }
@@ -324,31 +326,10 @@ func (c *Comm) RecvFrom(src, tag int) ([]float64, int) {
 }
 
 // Bcast distributes data from root over a binomial tree; every rank must
-// call it with the same tag. Non-roots pass nil and receive the payload.
+// call it with the same tag. Non-roots pass nil and receive the payload. It
+// is GroupBcast over the whole world.
 func (c *Comm) Bcast(root, tag int, data []float64) []float64 {
-	size := c.world.size
-	if size == 1 {
-		return data
-	}
-	// Rotate ranks so the root is virtual rank 0, then run the standard
-	// binomial tree on virtual ranks.
-	vrank := (c.rank - root + size) % size
-	toReal := func(v int) int { return (v + root) % size }
-	if vrank != 0 {
-		// Receive from the parent first.
-		parent := vrank &^ lowestBit(vrank)
-		data = c.Recv(toReal(parent), tag)
-	}
-	// Forward to children: vrank + 2^k for 2^k > lowestBit(vrank) while in
-	// range. Root (vrank 0) sends to 1, 2, 4, ...
-	limit := lowestBit(vrank)
-	if vrank == 0 {
-		limit = size
-	}
-	for bit := 1; bit < limit && vrank+bit < size; bit <<= 1 {
-		c.Send(toReal(vrank+bit), tag, data)
-	}
-	return data
+	return c.GroupBcast(c.world.all, root, tag, data)
 }
 
 func lowestBit(v int) int {
