@@ -31,7 +31,7 @@ func TestNilInjectorIsHealthy(t *testing.T) {
 	if dur, drop := in.AdjustMessage(0, 1, 8, 0, 2e-6); dur != 2e-6 || drop {
 		t.Fatalf("nil AdjustMessage = %v, %v", dur, drop)
 	}
-	if _, ok := in.ElementFailAt(); ok {
+	if in.ElementFailures() != nil {
 		t.Fatal("nil injector schedules a failure")
 	}
 	if in.Events() != nil || in.Seed() != 0 {
@@ -192,16 +192,16 @@ func TestAdjustMessageDropDeterminism(t *testing.T) {
 	}
 }
 
-func TestElementFailAt(t *testing.T) {
+func TestElementFailuresInStartOrder(t *testing.T) {
 	in := New(1,
 		Event{Kind: ElementFail, Start: 90},
 		Event{Kind: ElementFail, Start: 40},
 	)
-	at, ok := in.ElementFailAt()
-	if !ok || at != 40 {
-		t.Fatalf("ElementFailAt = %v, %v; want 40, true", at, ok)
+	fs := in.ElementFailures()
+	if len(fs) != 2 || fs[0].Start != 40 || fs[1].Start != 90 {
+		t.Fatalf("ElementFailures = %+v; want starts 40, 90", fs)
 	}
-	if _, ok := New(1).ElementFailAt(); ok {
+	if fs := New(1).ElementFailures(); len(fs) != 0 {
 		t.Fatal("failure scheduled on an empty injector")
 	}
 }

@@ -54,14 +54,6 @@ func Squarish(size int) Grid {
 	return best
 }
 
-// CyclicOwner returns which of count ranks owns global block index b under
-// 1D block-cyclic distribution.
-func CyclicOwner(b, count int) int { return b % count }
-
-// CyclicLocalIndex returns the local position of global block b on its
-// owner.
-func CyclicLocalIndex(b, count int) int { return b / count }
-
 // CyclicBlocks returns how many of nblocks global blocks land on the rank at
 // position idx among count ranks.
 func CyclicBlocks(nblocks, idx, count int) int {
@@ -70,31 +62,4 @@ func CyclicBlocks(nblocks, idx, count int) int {
 		full++
 	}
 	return full
-}
-
-// LocalExtent returns how many of n global elements, tiled in blocks of nb,
-// the rank at position idx among count ranks owns under block-cyclic
-// distribution (the ScaLAPACK "numroc" computation).
-func LocalExtent(n, nb, idx, count int) int {
-	nblocks := n / nb
-	extra := n % nb
-	out := CyclicBlocks(nblocks, idx, count) * nb
-	if extra > 0 && CyclicOwner(nblocks, count) == idx {
-		out += extra
-	}
-	return out
-}
-
-// TrailingLocal returns the local extent of the trailing submatrix that
-// starts at global block gb (inclusive), for the rank at position idx.
-func TrailingLocal(n, nb, gb, idx, count int) int {
-	total := LocalExtent(n, nb, idx, count)
-	// Subtract the blocks before gb owned by idx.
-	owned := 0
-	for b := 0; b < gb; b++ {
-		if CyclicOwner(b, count) == idx {
-			owned += nb
-		}
-	}
-	return total - owned
 }
