@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -171,5 +172,33 @@ func TestMalformedDirectives(t *testing.T) {
 	}
 	if wallTime != 2 {
 		t.Errorf("got %d nowalltime findings, want 2 (malformed directives must not suppress)", wallTime)
+	}
+}
+
+// TestLoadAllSkipsNestedModules checks that a subdirectory holding its own
+// go.mod is left out of the module tree: the fixture's nested module reads
+// the wall clock, and LoadAll must never load it.
+func TestLoadAllSkipsNestedModules(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLoader(filepath.Join(root, "internal", "analyzers", "testdata", "src", "nestedmod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if want := []string{"nestedmod.test", "nestedmod.test/sub"}; !slices.Equal(paths, want) {
+		t.Fatalf("LoadAll loaded %v, want %v", paths, want)
+	}
+	if findings := Run(l.Fset(), pkgs, []*Analyzer{NoWallTime}); len(findings) != 0 {
+		t.Fatalf("nested module leaked into the analysis: %v", findings)
 	}
 }

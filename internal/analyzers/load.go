@@ -278,7 +278,8 @@ func buildableFile(f *ast.File) bool {
 }
 
 // LoadAll loads every package in the module tree, skipping testdata
-// fixtures and hidden directories. Packages come back sorted by path.
+// fixtures, hidden and _-prefixed directories, and nested modules (any
+// subdirectory holding its own go.mod). Packages come back sorted by path.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
@@ -287,7 +288,13 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if path != l.Root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if path == l.Root {
+				return nil
+			}
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil
