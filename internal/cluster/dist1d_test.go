@@ -13,7 +13,7 @@ import (
 	"tianhe/internal/matrix"
 )
 
-var updateDist1D = flag.Bool("update", false, "rewrite the 1-D distributed solver golden")
+var update = flag.Bool("update", false, "rewrite the distributed solver goldens")
 
 // dist1DGolden renders, for every element variant, the exact bits of the
 // 1-D solver's virtual makespan and an FNV-1a hash of its solution bits, at
@@ -61,7 +61,7 @@ func hashBits(xs []float64) uint64 {
 func TestDist1DGolden(t *testing.T) {
 	got := dist1DGolden(t)
 	const path = "testdata/dist1d.golden"
-	if *updateDist1D {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
