@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"tianhe/internal/adaptive"
 	"tianhe/internal/blas"
 	"tianhe/internal/element"
 	"tianhe/internal/hpl"
@@ -102,11 +101,7 @@ type ElasticConfig struct {
 
 // ElasticResult reports an elastic solve.
 type ElasticResult struct {
-	X        []float64
-	Residual float64
-	Passed   bool
-	Seconds  sim.Time
-	GFLOPS   float64
+	DistResult
 
 	Epochs      int   // completed shrinks
 	Failed      []int // ranks lost, in failure order
@@ -221,7 +216,6 @@ func solve1D(cfg loop1D) (ElasticResult, error) {
 		return ElasticResult{}, fmt.Errorf("cluster: no survivors")
 	}
 	res := ElasticResult{
-		Seconds:         end,
 		Epochs:          root.epoch,
 		Failed:          root.failed,
 		FinalLive:       root.live,
@@ -240,20 +234,9 @@ func solve1D(cfg loop1D) (ElasticResult, error) {
 			res.ParityBytes += st.parityBytes
 		}
 	}
-	x := xs[root.comm.Rank()]
-	for _, r := range root.live {
-		if other := xs[r]; other != nil && matrix.VecMaxDiff(x, other) != 0 {
-			return res, fmt.Errorf("cluster: survivors disagree on the solution")
-		}
-	}
-	res.X = x
-	res.Residual = hpl.ScaledResidual(fullA, x, fullB)
-	res.Passed = res.Residual < hpl.ResidualThreshold
-	res.GFLOPS = hpl.LinpackFlops(cfg.N) / float64(end) / 1e9
-	if !res.Passed {
-		return res, fmt.Errorf("cluster: residual %g exceeds threshold", res.Residual)
-	}
-	return res, nil
+	var err error
+	res.DistResult, err = checkSolution(fullA, fullB, xs, end)
+	return res, err
 }
 
 func indexOfRank(live []int, r int) int {
@@ -266,20 +249,11 @@ func indexOfRank(live []int, r int) int {
 }
 
 func newRank1D(c *mpi.Comm, cfg loop1D, nblocks int, fullA *matrix.Dense, fullB []float64) *rank1D {
-	el := element.New(element.Config{
-		Seed:        cfg.Seed + uint64(c.Rank())*1000,
-		JitterSigma: -1,
-		GPUMem:      cfg.gpuMem,
-		GPUTexture:  cfg.gpuTexture,
-	})
-	var part adaptive.Partitioner
-	if cfg.variant.Adaptive() {
-		part = adaptive.NewAdaptive(32, hpl.LinpackFlops(cfg.N), el.InitialGSplit(), el.CPU.NumCores())
-	}
+	el, runner := newRankRunner(cfg.Seed+uint64(c.Rank())*1000, cfg.N, cfg.variant, cfg.gpuMem, cfg.gpuTexture)
 	st := &rank1D{
 		comm:    c,
 		el:      el,
-		runner:  hybrid.New(el, cfg.variant, part),
+		runner:  runner,
 		cfg:     cfg,
 		nblocks: nblocks,
 		fullA:   fullA,
@@ -308,10 +282,6 @@ func (st *rank1D) refreshStripes() {
 		return
 	}
 	st.stripes = rcv.Stripes(st.owners, st.live)
-}
-
-func (st *rank1D) advance(flops, gflops float64) {
-	st.comm.Advance(sim.Time(flops / (gflops * 1e9)))
 }
 
 // factorLoop is the right-looking panel loop. Returns true if this
@@ -349,7 +319,7 @@ func (st *rank1D) factorLoop() (died bool) {
 			if err := hpl.PanelFactor(pv, ipiv); err != nil {
 				panic(fmt.Sprintf("cluster: singular panel at block %d: %v", k, err))
 			}
-			st.advance(float64(nb)*float64(nb)*(float64(m)+float64(nb)/3), panelRate)
+			advance(st.comm, float64(nb)*float64(nb)*(float64(m)+float64(nb)/3), panelRate)
 			panel = pv.Clone()
 			st.comm.GroupBcast(st.live, rootIdx, tagEPanel+k%8, encodePanel(panel, ipiv))
 		} else {
@@ -386,7 +356,7 @@ func (st *rank1D) factorLoop() (died bool) {
 		if m > nb {
 			blas.Dgemv(blas.NoTrans, -1, panel.View(nb, 0, m-nb, nb), bPanel, 1, st.bTilde[row0+nb:])
 		}
-		st.advance(2*float64(m)*float64(nb), level2Rate)
+		advance(st.comm, 2*float64(m)*float64(nb), level2Rate)
 
 		// Per-block-column trailing update: each owned column right of the
 		// panel gets its own triangular solve and GEMM, so a column's bits
@@ -399,7 +369,7 @@ func (st *rank1D) factorLoop() (died bool) {
 		}
 		if len(after) > 0 {
 			cols := len(after) * nb
-			st.advance(float64(nb)*float64(nb)*float64(cols), trsmRate)
+			advance(st.comm, float64(nb)*float64(nb)*float64(cols), trsmRate)
 			rep := st.runner.GemmVirtual(m-nb, cols, nb, 1, st.comm.Now())
 			st.comm.Sync(rep.End)
 		}
@@ -459,7 +429,7 @@ func (st *rank1D) encodeParity(k, owner int) {
 			st.parity[s.Index] = p
 		}
 		rcv.XORInto(p, data)
-		st.advance(float64(8*n*nb), memGBps) // XOR fold at memory rate
+		advance(st.comm, float64(8*n*nb), memGBps) // XOR fold at memory rate
 	}
 }
 
@@ -537,7 +507,7 @@ func (st *rank1D) recoverFrom(failed []int, k int) {
 				folded++
 			}
 		}
-		st.advance(float64(folded)*float64(8*n*nb), memGBps)
+		advance(st.comm, float64(folded)*float64(8*n*nb), memGBps)
 	}
 
 	// Agree on the epoch's recovery stall (group max), so every survivor
@@ -758,7 +728,7 @@ func (st *rank1D) backSolve() []float64 {
 				uTop := st.cols[k].View(0, 0, row0, nb)
 				blas.Dgemv(blas.NoTrans, 1, uTop, xj, 0, delta)
 			}
-			st.advance(2*float64(row0)*float64(nb), level2Rate)
+			advance(st.comm, 2*float64(row0)*float64(nb), level2Rate)
 			payload = append(xj, delta...)
 			st.comm.GroupBcast(st.live, indexOfRank(st.live, owner), tagESolve+k%8, payload)
 		} else {

@@ -6,8 +6,14 @@
 package cluster
 
 import (
+	"fmt"
+
+	"tianhe/internal/adaptive"
 	"tianhe/internal/element"
+	"tianhe/internal/hpl"
+	"tianhe/internal/hybrid"
 	"tianhe/internal/matrix"
+	"tianhe/internal/mpi"
 	"tianhe/internal/sim"
 )
 
@@ -48,7 +54,53 @@ func SolveDistributed(cfg DistConfig) (DistResult, error) {
 		gpuMem:        cfg.GPUMem,
 		gpuTexture:    cfg.GPUTexture,
 	})
-	return DistResult{X: r.X, Residual: r.Residual, Passed: r.Passed, Seconds: r.Seconds, GFLOPS: r.GFLOPS}, err
+	return r.DistResult, err
+}
+
+// newRankRunner builds one rank's compute element, the adaptive partitioner
+// of adaptive variants, and the hybrid runner that books its trailing
+// updates. Each solver derives seed from its own per-rank multiplier.
+func newRankRunner(seed uint64, n int, variant element.Variant, gpuMem int64, gpuTexture int) (*element.Element, *hybrid.Runner) {
+	el := element.New(element.Config{
+		Seed:        seed,
+		JitterSigma: -1,
+		GPUMem:      gpuMem,
+		GPUTexture:  gpuTexture,
+	})
+	var part adaptive.Partitioner
+	if variant.Adaptive() {
+		part = adaptive.NewAdaptive(32, hpl.LinpackFlops(n), el.InitialGSplit(), el.CPU.NumCores())
+	}
+	return el, hybrid.New(el, variant, part)
+}
+
+// advance books flops of host work at gflops on the rank's virtual clock.
+func advance(comm *mpi.Comm, flops, gflops float64) {
+	comm.Advance(sim.Time(flops / (gflops * 1e9)))
+}
+
+// checkSolution is the shared tail of both solvers: every rank that
+// finished (non-nil xs entry) must hold the same X, which is then checked
+// against the original system a, b. end is the parallel virtual makespan.
+func checkSolution(a *matrix.Dense, b []float64, xs [][]float64, end sim.Time) (DistResult, error) {
+	res := DistResult{Seconds: end}
+	for _, x := range xs {
+		if x == nil {
+			continue
+		}
+		if res.X == nil {
+			res.X = x
+		} else if matrix.VecMaxDiff(res.X, x) != 0 {
+			return DistResult{Seconds: end}, fmt.Errorf("cluster: ranks disagree on the solution")
+		}
+	}
+	res.Residual = hpl.ScaledResidual(a, res.X, b)
+	res.Passed = res.Residual < hpl.ResidualThreshold
+	res.GFLOPS = hpl.LinpackFlops(a.Rows) / float64(end) / 1e9
+	if !res.Passed {
+		return res, fmt.Errorf("cluster: residual %g exceeds threshold", res.Residual)
+	}
+	return res, nil
 }
 
 // encodePanel packs a factored panel and its pivots into one float slice.

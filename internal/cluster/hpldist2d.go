@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"tianhe/internal/adaptive"
 	"tianhe/internal/blas"
 	"tianhe/internal/element"
 	"tianhe/internal/grid"
@@ -34,10 +33,6 @@ type Dist2DConfig struct {
 	// everyone else runs the bulk of the current trailing update, hiding the
 	// panel factorization and its broadcast off the critical path.
 	Lookahead bool
-	// PanelBcast selects the panel broadcast algorithm along process rows
-	// (HPL offers the same choice); the default binomial tree minimizes the
-	// critical path, the rings minimize root load for overlapped broadcasts.
-	PanelBcast mpi.BcastAlg
 }
 
 // Message tags of the 2D solver's phases. Messages are FIFO per
@@ -80,27 +75,13 @@ func SolveDistributed2D(cfg Dist2DConfig) (DistResult, error) {
 	fullA, fullB := hpl.Generate(cfg.N, cfg.Seed)
 
 	world := mpi.NewWorld(mpi.Config{Size: cfg.P * cfg.Q})
-	results := make([][]float64, world.Size())
+	xs := make([][]float64, world.Size())
 	end := world.Run(func(c *mpi.Comm) {
 		st := newState2d(c, cfg, fullA, fullB)
 		st.factor()
-		results[c.Rank()] = st.backSolve()
+		xs[c.Rank()] = st.backSolve()
 	})
-
-	x := results[0]
-	for r := 1; r < world.Size(); r++ {
-		if matrix.VecMaxDiff(x, results[r]) != 0 {
-			return DistResult{}, fmt.Errorf("cluster: ranks disagree on the solution")
-		}
-	}
-	res := DistResult{X: x, Seconds: end}
-	res.Residual = hpl.ScaledResidual(fullA, x, fullB)
-	res.Passed = res.Residual < hpl.ResidualThreshold
-	res.GFLOPS = hpl.LinpackFlops(cfg.N) / float64(end) / 1e9
-	if !res.Passed {
-		return res, fmt.Errorf("cluster: residual %g exceeds threshold", res.Residual)
-	}
-	return res, nil
+	return checkSolution(fullA, fullB, xs, end)
 }
 
 func newState2d(c *mpi.Comm, cfg Dist2DConfig, fullA *matrix.Dense, fullB []float64) *state2d {
@@ -111,17 +92,7 @@ func newState2d(c *mpi.Comm, cfg Dist2DConfig, fullA *matrix.Dense, fullB []floa
 		nRowBlocks: cfg.N / cfg.NB,
 		nColBlocks: cfg.N/cfg.NB + 1,
 	}
-	el := element.New(element.Config{
-		Seed:        cfg.Seed + uint64(c.Rank())*977,
-		JitterSigma: -1,
-		GPUMem:      cfg.GPUMem,
-		GPUTexture:  cfg.GPUTexture,
-	})
-	var part adaptive.Partitioner
-	if cfg.Variant.Adaptive() {
-		part = adaptive.NewAdaptive(32, hpl.LinpackFlops(cfg.N), el.InitialGSplit(), el.CPU.NumCores())
-	}
-	st.runner = hybrid.New(el, cfg.Variant, part)
+	_, st.runner = newRankRunner(cfg.Seed+uint64(c.Rank())*977, cfg.N, cfg.Variant, cfg.GPUMem, cfg.GPUTexture)
 
 	// Extract owned blocks of the augmented matrix [A | b 0...].
 	st.local = matrix.NewDense(st.localRows(), st.localCols())
@@ -167,26 +138,17 @@ func (st *state2d) localColOfBlock(bj int) int { return (bj / st.cfg.Q) * st.cfg
 // >= gr (local rows are ascending in global row).
 func (st *state2d) firstLocalRowAtOrAbove(gr int) int {
 	bi := gr / st.cfg.NB
-	off := gr % st.cfg.NB
-	// Count my blocks strictly below bi.
-	below := 0
-	for b := st.p; b < bi; b += st.cfg.P {
-		below++
-	}
+	lr := grid.CyclicBlocks(bi, st.p, st.cfg.P) * st.cfg.NB
 	if bi%st.cfg.P == st.p {
-		return below*st.cfg.NB + off
+		lr += gr % st.cfg.NB
 	}
-	return below * st.cfg.NB
+	return lr
 }
 
 // firstLocalColOfTrailing returns the first local column with global block
 // index > k.
 func (st *state2d) firstLocalColOfTrailing(k int) int {
-	cnt := 0
-	for b := st.q; b <= k; b += st.cfg.Q {
-		cnt++
-	}
-	return cnt * st.cfg.NB
+	return grid.CyclicBlocks(k+1, st.q, st.cfg.Q) * st.cfg.NB
 }
 
 func (st *state2d) colGroup(pcol int) []int {
@@ -203,10 +165,6 @@ func (st *state2d) rowGroup(prow int) []int {
 		out[q] = st.g.Rank(prow, q)
 	}
 	return out
-}
-
-func (st *state2d) cpuAdvance(flops, rate float64) {
-	st.comm.Advance(flops / (rate * 1e9))
 }
 
 // factor runs the 2D right-looking panel loop, optionally with depth-1
@@ -237,6 +195,7 @@ func (st *state2d) factor() {
 
 		// U12 on the diagonal process row, then broadcast it down columns.
 		u12 := st.computeAndBcastU12(k, prow, piece)
+		width := st.local.Cols - st.firstLocalColOfTrailing(k)
 
 		if st.cfg.Lookahead && k+1 < st.nRowBlocks {
 			// Look-ahead: the next panel's owner column updates just that
@@ -248,18 +207,17 @@ func (st *state2d) factor() {
 				st.updateRange(k, prow, piece, u12, 0, nb)
 				nextIpiv = st.panelFactor(k + 1)
 				nextPiece, np := st.panelBcast(k+1, nextCol, nextIpiv)
-				st.updateRange(k, prow, piece, u12, nb, -1)
+				st.updateRange(k, prow, piece, u12, nb, width)
 				piece, ipiv = nextPiece, np
 			} else {
-				st.updateRange(k, prow, piece, u12, 0, -1)
-				nextPiece, np := st.panelBcast(k+1, nextCol, nil)
-				piece, ipiv = nextPiece, np
+				st.updateRange(k, prow, piece, u12, 0, width)
+				piece, ipiv = st.panelBcast(k+1, nextCol, nil)
 			}
 			continue
 		}
 
 		// Trailing update through the hybrid element.
-		st.update(k, prow, piece, u12)
+		st.updateRange(k, prow, piece, u12, 0, width)
 		piece, ipiv = nil, nil
 	}
 }
@@ -290,12 +248,7 @@ func (st *state2d) panelFactor(k int) []int {
 		// The winner publishes the pivot's global row and its panel row.
 		var payload []float64
 		if myIdx == widx {
-			payload = make([]float64, 1+nb)
-			payload[0] = float64(bestGR)
-			lr := st.localRow(bestGR)
-			for jj := 0; jj < nb; jj++ {
-				payload[1+jj] = st.local.At(lr, lc+jj)
-			}
+			payload = append([]float64{float64(bestGR)}, st.rowSeg(st.localRow(bestGR), lc, nb)...)
 		}
 		payload = st.comm.GroupBcast(group, widx, tag2dPivotRow, payload)
 		gp := int(payload[0])
@@ -313,20 +266,10 @@ func (st *state2d) panelFactor(k int) []int {
 				// Ship my r1 row to gp's owner; overwrite r1 with the pivot
 				// row (already in hand from the broadcast).
 				lr := st.localRow(gr0)
-				seg := make([]float64, nb)
-				for jj := 0; jj < nb; jj++ {
-					seg[jj] = st.local.At(lr, lc+jj)
-				}
-				st.comm.Send(group[(gp/nb)%st.cfg.P], tag2dSwapPanel, seg)
-				for jj := 0; jj < nb; jj++ {
-					st.local.Set(lr, lc+jj, pivRow[jj])
-				}
+				st.comm.Send(group[(gp/nb)%st.cfg.P], tag2dSwapPanel, st.rowSeg(lr, lc, nb))
+				st.setRowSeg(lr, lc, pivRow)
 			case ownGP:
-				seg := st.comm.Recv(group[(gr0/nb)%st.cfg.P], tag2dSwapPanel)
-				lr := st.localRow(gp)
-				for jj := 0; jj < nb; jj++ {
-					st.local.Set(lr, lc+jj, seg[jj])
-				}
+				st.setRowSeg(st.localRow(gp), lc, st.comm.Recv(group[(gr0/nb)%st.cfg.P], tag2dSwapPanel))
 			}
 		}
 
@@ -341,7 +284,7 @@ func (st *state2d) panelFactor(k int) []int {
 				trail := st.local.View(below, lc+j+1, rows, nb-j-1)
 				blas.Dger(-1, colj.Col(0), pivRow[j+1:], trail)
 			}
-			st.cpuAdvance(2*float64(rows)*float64(nb-j), 10)
+			advance(st.comm, 2*float64(rows)*float64(nb-j), 10)
 		}
 	}
 	return ipiv
@@ -363,27 +306,9 @@ func (st *state2d) panelBcast(k, pcol int, ipiv []int) (*matrix.Dense, []int) {
 
 	var payload []float64
 	if st.q == pcol {
-		lc := st.localColOfBlock(k)
-		payload = make([]float64, nb+pieceRows*nb)
-		for j := 0; j < nb; j++ {
-			payload[j] = float64(ipiv[j])
-		}
-		for jj := 0; jj < nb; jj++ {
-			col := st.local.View(start, lc+jj, pieceRows, 1).Col(0)
-			copy(payload[nb+jj*pieceRows:], col)
-		}
+		payload = encodePanel(st.local.View(start, st.localColOfBlock(k), pieceRows, nb), ipiv)
 	}
-	payload = st.comm.BcastWith(st.cfg.PanelBcast, group, pcol, tag2dPanelBcast, payload)
-
-	pivots := make([]int, nb)
-	for j := 0; j < nb; j++ {
-		pivots[j] = int(payload[j])
-	}
-	piece := matrix.NewDense(pieceRows, nb)
-	for jj := 0; jj < nb; jj++ {
-		copy(piece.Col(jj), payload[nb+jj*pieceRows:nb+(jj+1)*pieceRows])
-	}
-	return piece, pivots
+	return decodePanel(st.comm.GroupBcast(group, pcol, tag2dPanelBcast, payload), pieceRows, nb)
 }
 
 // applyTrailingSwaps mirrors the panel's row interchanges on the columns
@@ -393,9 +318,8 @@ func (st *state2d) applyTrailingSwaps(k, row0 int, ipiv []int) {
 	c0 := st.firstLocalColOfTrailing(k)
 	cols := st.local.Cols - c0
 	if cols <= 0 {
-		// Still participate in exchanges? No: peers with zero columns are
-		// skipped symmetrically because both sides compute each other's
-		// column count. Nothing to do.
+		// The trailing width depends only on the process column, so both
+		// partners of every exchange skip it together.
 		return
 	}
 	for j := 0; j < nb; j++ {
@@ -422,14 +346,23 @@ func (st *state2d) applyTrailingSwaps(k, row0 int, ipiv []int) {
 // held by the peer process row, across my trailing columns.
 func (st *state2d) exchangeRow(myRow, peerP, c0, cols int) {
 	lr := st.localRow(myRow)
+	peer := st.g.Rank(peerP, st.q)
+	st.setRowSeg(lr, c0, st.comm.SendRecv(peer, tag2dSwapTrail, tag2dSwapTrail, st.rowSeg(lr, c0, cols)))
+}
+
+// rowSeg copies columns [c0, c0+cols) of local row lr.
+func (st *state2d) rowSeg(lr, c0, cols int) []float64 {
 	seg := make([]float64, cols)
-	for j := 0; j < cols; j++ {
+	for j := range seg {
 		seg[j] = st.local.At(lr, c0+j)
 	}
-	peer := st.g.Rank(peerP, st.q)
-	got := st.comm.SendRecv(peer, tag2dSwapTrail, tag2dSwapTrail, seg)
-	for j := 0; j < cols; j++ {
-		st.local.Set(lr, c0+j, got[j])
+	return seg
+}
+
+// setRowSeg writes seg into local row lr starting at column c0.
+func (st *state2d) setRowSeg(lr, c0 int, seg []float64) {
+	for j, v := range seg {
+		st.local.Set(lr, c0+j, v)
 	}
 }
 
@@ -448,52 +381,25 @@ func (st *state2d) computeAndBcastU12(k, prow int, piece *matrix.Dense) *matrix.
 		l11 := piece.View(0, 0, nb, nb)
 		u12 := st.local.View(st.localRow(row0), c0, nb, cols)
 		blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, l11, u12)
-		st.cpuAdvance(float64(nb)*float64(nb)*float64(cols), 26)
-		payload = make([]float64, nb*cols)
-		for j := 0; j < cols; j++ {
-			copy(payload[j*nb:], u12.Col(j))
-		}
+		advance(st.comm, float64(nb)*float64(nb)*float64(cols), trsmRate)
+		payload = u12.Clone().Data
 	}
 	if cols == 0 {
 		return nil
 	}
-	payload = st.comm.GroupBcast(group, prow, tag2dU12, payload)
-	u12 := matrix.NewDense(nb, cols)
-	for j := 0; j < cols; j++ {
-		copy(u12.Col(j), payload[j*nb:(j+1)*nb])
+	return matrix.FromColMajor(nb, cols, nb, st.comm.GroupBcast(group, prow, tag2dU12, payload))
+}
+
+// updateRange applies A22 -= L21 * U12 through the hybrid element to
+// columns [lo, hi) of this rank's trailing region. Look-ahead uses it to
+// update the next panel's block column ahead of the rest.
+func (st *state2d) updateRange(k, prow int, piece, u12 *matrix.Dense, lo, hi int) {
+	if lo >= hi {
+		return
 	}
-	return u12
-}
-
-// update applies A22 -= L21 * U12 on the whole local trailing block.
-func (st *state2d) update(k, prow int, piece *matrix.Dense, u12 *matrix.Dense) {
-	st.updateRange(k, prow, piece, u12, 0, -1)
-}
-
-// updateRange applies the trailing update to a column sub-range: colOff is
-// the offset (in columns) within this rank's trailing region and count the
-// width, with -1 meaning "to the end". Look-ahead uses it to update the next
-// panel's block column ahead of the rest.
-func (st *state2d) updateRange(k, prow int, piece *matrix.Dense, u12 *matrix.Dense, colOff, count int) {
 	nb := st.cfg.NB
 	row0 := k * nb
 	c0 := st.firstLocalColOfTrailing(k)
-	cols := st.local.Cols - c0
-	if u12 == nil {
-		return
-	}
-	if count < 0 {
-		count = cols - colOff
-	}
-	if colOff >= cols {
-		return
-	}
-	if colOff+count > cols {
-		count = cols - colOff
-	}
-	if count <= 0 {
-		return
-	}
 	// L21: the piece minus the diagonal block when my process row owns it.
 	skip := 0
 	if st.p == prow {
@@ -504,11 +410,11 @@ func (st *state2d) updateRange(k, prow int, piece *matrix.Dense, u12 *matrix.Den
 	}
 	l21 := piece.View(skip, 0, piece.Rows-skip, nb)
 	r0 := st.firstLocalRowAtOrAbove(row0 + nb)
-	a22 := st.local.View(r0, c0+colOff, st.local.Rows-r0, count)
+	a22 := st.local.View(r0, c0+lo, st.local.Rows-r0, hi-lo)
 	if a22.Rows != l21.Rows {
 		panic(fmt.Sprintf("cluster: 2D update row mismatch %d vs %d", a22.Rows, l21.Rows))
 	}
-	u12part := u12.View(0, colOff, nb, count)
+	u12part := u12.View(0, lo, nb, hi-lo)
 	rep := st.runner.Gemm(-1, l21, u12part, 1, a22, st.comm.Now())
 	st.comm.Sync(rep.End)
 }
@@ -535,11 +441,8 @@ func (st *state2d) backSolve() []float64 {
 		// Move y_k to the diagonal owner, solve, and broadcast x_k.
 		var xk []float64
 		if st.comm.Rank() == yHolder {
-			yk := make([]float64, nb)
 			lr := st.localRow(row0)
-			for i := 0; i < nb; i++ {
-				yk[i] = st.local.At(lr+i, lcB)
-			}
+			yk := append([]float64(nil), st.local.Col(lcB)[lr:lr+nb]...)
 			if yHolder != diag {
 				st.comm.Send(diag, tag2dSolveY, yk)
 			} else {
@@ -552,7 +455,7 @@ func (st *state2d) backSolve() []float64 {
 			}
 			ukk := st.local.View(st.localRow(row0), st.localColOfBlock(k), nb, nb)
 			blas.Dtrsv(blas.Upper, blas.NoTrans, blas.NonUnit, ukk, xk)
-			st.cpuAdvance(float64(nb)*float64(nb), 4)
+			advance(st.comm, float64(nb)*float64(nb), level2Rate)
 		}
 		xk = st.comm.Bcast(diag, tag2dSolveX, xk)
 		copy(x[row0:row0+nb], xk)
@@ -561,22 +464,25 @@ func (st *state2d) backSolve() []float64 {
 		// compute their deltas and ship them to the y holders in their
 		// process row.
 		rowsAbove := st.firstLocalRowAtOrAbove(row0)
-		if st.q == pcol && rowsAbove > 0 {
+		if rowsAbove == 0 {
+			continue
+		}
+		var delta []float64
+		if st.q == pcol {
 			uTop := st.local.View(0, st.localColOfBlock(k), rowsAbove, nb)
-			delta := make([]float64, rowsAbove)
+			delta = make([]float64, rowsAbove)
 			blas.Dgemv(blas.NoTrans, 1, uTop, xk, 0, delta)
-			st.cpuAdvance(2*float64(rowsAbove)*float64(nb), 4)
-			if st.q == qb {
-				for i := 0; i < rowsAbove; i++ {
-					st.local.Set(i, lcB, st.local.At(i, lcB)-delta[i])
-				}
-			} else {
+			advance(st.comm, 2*float64(rowsAbove)*float64(nb), level2Rate)
+			if st.q != qb {
 				st.comm.Send(st.g.Rank(st.p, qb), tag2dSolveDelta, delta)
 			}
-		} else if st.q == qb && pcol != qb && rowsAbove > 0 {
-			delta := st.comm.Recv(st.g.Rank(st.p, pcol), tag2dSolveDelta)
-			for i := 0; i < rowsAbove; i++ {
-				st.local.Set(i, lcB, st.local.At(i, lcB)-delta[i])
+		} else if st.q == qb {
+			delta = st.comm.Recv(st.g.Rank(st.p, pcol), tag2dSolveDelta)
+		}
+		if st.q == qb {
+			y := st.local.Col(lcB)
+			for i, d := range delta {
+				y[i] -= d
 			}
 		}
 	}

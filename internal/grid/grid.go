@@ -1,8 +1,9 @@
 // Package grid implements the P x Q process grid and block-cyclic
-// distribution maps HPL uses to spread an N x N matrix over ranks. The
-// distributed solver uses a 1 x Q (column block-cyclic) layout; the
-// cluster-scale performance model uses the paper's full 2D grids (up to
-// 64 x 80 on TianHe-1).
+// distribution maps HPL uses to spread an N x N matrix over ranks. The 2-D
+// distributed solver (cluster.SolveDistributed2D) places its blocks with
+// them, and the cluster-scale performance model sizes the paper's full
+// grids (up to 64 x 80 on TianHe-1) with Squarish. The 1-D solvers keep
+// their own column-owner map, which an elastic shrink rewrites.
 package grid
 
 import "fmt"
