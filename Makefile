@@ -3,7 +3,7 @@
 # suite, and runs the full test suite (under the race detector where the
 # toolchain has cgo).
 
-.PHONY: check build test vet lint fuzz bench faultgolden recovergolden graphgolden graphbench parbench servebench
+.PHONY: check build test vet lint fuzz bench faultgolden recovergolden graphgolden benchartifacts parbench
 
 check:
 	./scripts/check.sh
@@ -51,15 +51,22 @@ graphgolden:
 	go run ./cmd/graphtrace -workload stencil -golden | diff cmd/graphtrace/testdata/stencil.golden -
 	go run ./cmd/graphtrace -workload stencil -golden -hybrid | diff cmd/graphtrace/testdata/stencil-hybrid.golden -
 
-# graphbench regenerates the graph-LU benchmark (monolithic vs graph at each
-# look-ahead depth vs graph+hybrid, N=46080) into a fresh artifact and guards
-# it against the committed BENCH_graphlu.json baseline: every mode's GFLOPS
-# must stay within 10%. Virtual time makes the run bit-exact from the seed,
-# so any drift the guard catches is a real code change — regenerate the
-# baseline deliberately with
-# `go run ./cmd/graphtrace -bench -o BENCH_graphlu.json` and commit it.
-graphbench:
-	go run ./cmd/graphtrace -bench -par 8 -o /tmp/tianhe_graphbench.json -baseline BENCH_graphlu.json
+# benchartifacts regenerates the two committed virtual-time benchmarks —
+# BENCH_graphlu.json (monolithic vs graph LU at each look-ahead depth vs
+# graph+hybrid, N=46080) and BENCH_serve.json (the 1200-client healthy and
+# lost-gpu serving sweeps) — into a temporary directory and compares each
+# with the committed file byte for byte. Virtual time makes both runs exact
+# from the seed at any -par, so any difference is a code change, however
+# small. Regenerate deliberately with
+# `go run ./cmd/graphtrace -bench -o BENCH_graphlu.json` and
+# `go run ./cmd/tianhed -bench -o BENCH_serve.json`, and commit the files.
+benchartifacts:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	go run ./cmd/graphtrace -bench -par 2 -o "$$tmp/graphlu.json" >/dev/null && \
+	go run ./cmd/tianhed -bench -par 2 -o "$$tmp/serve.json" >/dev/null && \
+	cmp "$$tmp/graphlu.json" BENCH_graphlu.json && \
+	cmp "$$tmp/serve.json" BENCH_serve.json && \
+	echo "BENCH_graphlu.json and BENCH_serve.json regenerate byte for byte"
 
 # fuzz gives each native fuzz target a short fixed budget on top of its
 # checked-in seed corpus. New crashers land in testdata/fuzz/ — commit them.
@@ -73,16 +80,6 @@ fuzz:
 
 bench:
 	go test -run xxx -bench . -benchtime 10x .
-
-# servebench regenerates the serving benchmark (1200 open-loop clients,
-# healthy + lost-gpu sweeps) into a fresh artifact and guards it against
-# the committed BENCH_serve.json baseline: peak and per-rate healthy
-# throughput must stay within 10%. Virtual time makes the run bit-exact
-# from the seed, so any drift the guard catches is a real code change —
-# regenerate the baseline deliberately with
-# `go run ./cmd/tianhed -bench -o BENCH_serve.json` and commit it.
-servebench:
-	go run ./cmd/tianhed -bench -par 8 -o /tmp/tianhe_servebench.json -baseline BENCH_serve.json
 
 # parbench measures the parallel sweep runner: faultbench and scalebench at
 # -par 1 vs -par 8 (override with PAR=n), asserting byte-identical output

@@ -7,8 +7,8 @@
 // lu, virtual topology at any size) and the 3-D Jacobi stencil sweep
 // (-workload stencil); -hybrid arms the split CPU+GPU codelet bodies on
 // either. -bench runs the monolithic-vs-graph comparison instead and writes
-// the BENCH_graphlu.json perf-trajectory artifact, guarding it against a
-// committed baseline with -baseline.
+// the BENCH_graphlu.json perf-trajectory artifact (`make benchartifacts`
+// regenerates it and compares it with the committed file byte for byte).
 package main
 
 import (
@@ -49,8 +49,6 @@ func run(w io.Writer, args []string) error {
 	bench := fs.Bool("bench", false, "run the graph-LU benchmark and write the BENCH_graphlu.json artifact")
 	benchN := fs.Int("benchn", 0, "bench: matrix order (0 selects the Fig-6 size, 46080)")
 	out := fs.String("o", "", "bench: write the benchmark artifact JSON to this file")
-	baseline := fs.String("baseline", "", "bench: committed benchmark to guard against (errors on regression)")
-	tolerance := fs.Float64("tolerance", 10, "bench: allowed per-mode GFLOPS regression in percent")
 	par := fs.Int("par", 1, "bench: worker parallelism of the sweep (output is identical for every par)")
 
 	// LU flags.
@@ -69,7 +67,7 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 	if *bench {
-		return runBench(w, *seed, *benchN, *par, *out, *baseline, *tolerance)
+		return runBench(w, *seed, *benchN, *par, *out)
 	}
 
 	var tel *telemetry.Telemetry
@@ -146,10 +144,9 @@ func run(w io.Writer, args []string) error {
 	return nil
 }
 
-// runBench runs the monolithic-vs-graph benchmark, writes the artifact, and
-// guards it against the committed baseline — the BENCH_graphlu.json
-// counterpart of tianhed's serving benchmark.
-func runBench(w io.Writer, seed uint64, n, par int, out, baseline string, tolerance float64) error {
+// runBench runs the monolithic-vs-graph benchmark and writes the artifact —
+// the BENCH_graphlu.json counterpart of tianhed's serving benchmark.
+func runBench(w io.Writer, seed uint64, n, par int, out string) error {
 	res := experiments.GraphLUBench(seed, n, par)
 	for _, c := range res.Cells {
 		fmt.Fprintf(w, "%-14s lookahead=%-2d %9.3f s %8.2f GFLOPS %+6.1f%%\n",
@@ -165,24 +162,6 @@ func runBench(w io.Writer, seed uint64, n, par int, out, baseline string, tolera
 		}
 		fmt.Fprintf(w, "wrote %s\n", out)
 	}
-	if baseline == "" {
-		return nil
-	}
-	baseData, err := os.ReadFile(baseline)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	var base experiments.GraphLUBenchResult
-	if err := json.Unmarshal(baseData, &base); err != nil {
-		return fmt.Errorf("parsing baseline: %w", err)
-	}
-	if base.Schema != experiments.GraphLUBenchSchema {
-		return fmt.Errorf("baseline schema %q, want %q", base.Schema, experiments.GraphLUBenchSchema)
-	}
-	if err := experiments.GraphLURegression(res, base, tolerance); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "baseline %s: all modes within %.0f%%\n", baseline, tolerance)
 	return nil
 }
 

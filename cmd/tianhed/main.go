@@ -20,11 +20,10 @@
 //
 // Bench mode (-bench) replays the seeded open-loop load sweep (healthy and
 // lost-gpu) entirely in virtual time and writes BENCH_serve.json, the
-// repository's perf-trajectory artifact. With -baseline it compares the
-// fresh run against the committed artifact and exits non-zero if sustained
-// throughput regressed by more than -tolerance percent; results are
-// bit-reproducible for a fixed -seed and any -par, so a regression is a
-// code change, never noise.
+// repository's perf-trajectory artifact. Results are bit-reproducible for a
+// fixed -seed and any -par, so `make benchartifacts` compares a fresh run
+// with the committed file byte for byte: any difference is a code change,
+// never noise.
 package main
 
 import (
@@ -56,14 +55,12 @@ func main() {
 	ratesFlag := flag.String("rates", "", "comma-separated arrival rates for -bench (default "+
 		fmt.Sprint(experiments.DefaultServeRates)+")")
 	out := flag.String("o", "BENCH_serve.json", "benchmark output path")
-	baseline := flag.String("baseline", "", "committed benchmark to guard against (errors on regression)")
-	tolerance := flag.Float64("tolerance", 10, "throughput regression tolerance in percent")
 	parFlag := flag.Int("par", 0, "worker count (<=0: GOMAXPROCS); bench output is identical for every value")
 	flag.Parse()
 	par := sweep.Workers(*parFlag)
 
 	if *benchMode {
-		if err := runBench(os.Stdout, *seed, *clients, *workers, *ratesFlag, *out, *baseline, *tolerance, par); err != nil {
+		if err := runBench(os.Stdout, *seed, *clients, *workers, *ratesFlag, *out, par); err != nil {
 			fmt.Fprintf(os.Stderr, "tianhed: %v\n", err)
 			os.Exit(1)
 		}
@@ -103,9 +100,8 @@ func parseRates(s string) ([]float64, error) {
 	return rates, nil
 }
 
-// runBench runs the benchmark trajectory, writes the artifact, and applies
-// the regression guard when a baseline is given.
-func runBench(w io.Writer, seed uint64, clients, workers int, ratesFlag, out, baseline string, tolerance float64, par int) error {
+// runBench runs the benchmark trajectory and writes the artifact.
+func runBench(w io.Writer, seed uint64, clients, workers int, ratesFlag, out string, par int) error {
 	rates, err := parseRates(ratesFlag)
 	if err != nil {
 		return err
@@ -128,26 +124,6 @@ func runBench(w io.Writer, seed uint64, clients, workers int, ratesFlag, out, ba
 	fmt.Fprintf(w, "saturation at %g jobs/s offered, peak sustained %.1f jobs/s\n",
 		res.SaturationRate, res.PeakThroughput)
 	fmt.Fprintf(w, "wrote %s\n", out)
-
-	if baseline == "" {
-		return nil
-	}
-	baseData, err := os.ReadFile(baseline)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	var base experiments.ServeBenchResult
-	if err := json.Unmarshal(baseData, &base); err != nil {
-		return fmt.Errorf("parsing baseline: %w", err)
-	}
-	if base.Schema != experiments.ServeBenchSchema {
-		return fmt.Errorf("baseline schema %q, want %q", base.Schema, experiments.ServeBenchSchema)
-	}
-	if err := experiments.ServeRegression(res, base, tolerance); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "regression guard: peak %.1f jobs/s within %.0f%% of baseline %.1f — ok\n",
-		res.PeakThroughput, tolerance, base.PeakThroughput)
 	return nil
 }
 

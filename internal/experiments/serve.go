@@ -288,36 +288,6 @@ func ServeBench(seed uint64, clients, workers int, rates []float64, par int) (Se
 	return res, nil
 }
 
-// ServeRegression compares a fresh benchmark against the committed
-// baseline: peak throughput and every per-rate healthy throughput must stay
-// within tolPct percent of the baseline. Improvements always pass.
-func ServeRegression(current, baseline ServeBenchResult, tolPct float64) error {
-	var fails []string
-	floor := 1 - tolPct/100
-	if current.PeakThroughput < floor*baseline.PeakThroughput {
-		fails = append(fails, fmt.Sprintf("peak throughput %.1f jobs/s fell >%.0f%% below baseline %.1f",
-			current.PeakThroughput, tolPct, baseline.PeakThroughput))
-	}
-	base := make(map[float64]ServePoint, len(baseline.Healthy))
-	for _, p := range baseline.Healthy {
-		base[p.Rate] = p
-	}
-	for _, p := range current.Healthy {
-		b, ok := base[p.Rate]
-		if !ok {
-			continue
-		}
-		if p.Throughput < floor*b.Throughput {
-			fails = append(fails, fmt.Sprintf("rate %g: throughput %.1f jobs/s fell >%.0f%% below baseline %.1f",
-				p.Rate, p.Throughput, tolPct, b.Throughput))
-		}
-	}
-	if len(fails) == 0 {
-		return nil
-	}
-	return fmt.Errorf("serve bench regression: %v", fails)
-}
-
 // WriteServeTable renders a sweep as a fixed-format text table, one block
 // per point with its per-tenant rows — the diffable verdict table of the
 // serving goldens.

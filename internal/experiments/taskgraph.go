@@ -165,30 +165,3 @@ func GraphLUBench(seed uint64, n, par int) GraphLUBenchResult {
 	cells := GraphLU(seed, n, nil, telemetry.Disabled(), par)
 	return GraphLUBenchResult{Schema: GraphLUBenchSchema, Seed: seed, N: n, Cells: cells}
 }
-
-// GraphLURegression compares a fresh benchmark against the committed
-// baseline: every mode's GFLOPS must stay within tolPct percent of the
-// baseline cell. Improvements always pass; modes added since the baseline
-// was committed are ignored until it is regenerated.
-func GraphLURegression(current, baseline GraphLUBenchResult, tolPct float64) error {
-	var fails []string
-	floor := 1 - tolPct/100
-	base := make(map[string]GraphLUCell, len(baseline.Cells))
-	for _, c := range baseline.Cells {
-		base[c.Mode] = c
-	}
-	for _, c := range current.Cells {
-		b, ok := base[c.Mode]
-		if !ok {
-			continue
-		}
-		if c.GFLOPS < floor*b.GFLOPS {
-			fails = append(fails, fmt.Sprintf("%s: %.2f GFLOPS fell >%.0f%% below baseline %.2f",
-				c.Mode, c.GFLOPS, tolPct, b.GFLOPS))
-		}
-	}
-	if len(fails) == 0 {
-		return nil
-	}
-	return fmt.Errorf("graph-LU bench regression: %v", fails)
-}
