@@ -175,6 +175,31 @@ func TestMalformedDirectives(t *testing.T) {
 	}
 }
 
+// TestLoadAllLoadsEachPackageOnce checks that a package whose files sort on
+// both sides of a subpackage directory is loaded once, not once per run of
+// its files in walk order.
+func TestLoadAllLoadsEachPackageOnce(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLoader(filepath.Join(root, "internal", "analyzers", "testdata", "src", "splitdir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if want := []string{"splitdir.test", "splitdir.test/mid"}; !slices.Equal(paths, want) {
+		t.Fatalf("LoadAll loaded %v, want %v", paths, want)
+	}
+}
+
 // TestLoadAllSkipsNestedModules checks that a subdirectory holding its own
 // go.mod is left out of the module tree: the fixture's nested module reads
 // the wall clock, and LoadAll must never load it.

@@ -281,7 +281,10 @@ func buildableFile(f *ast.File) bool {
 // fixtures, hidden and _-prefixed directories, and nested modules (any
 // subdirectory holding its own go.mod). Packages come back sorted by path.
 func (l *Loader) LoadAll() ([]*Package, error) {
+	// A directory's files can straddle a subdirectory in walk order
+	// (job.go, loadgen/, server.go), so dedupe over every directory seen.
 	var dirs []string
+	seen := make(map[string]bool)
 	err := filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -300,8 +303,8 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 			return nil
 		}
 		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
-			dir := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+			if dir := filepath.Dir(path); !seen[dir] {
+				seen[dir] = true
 				dirs = append(dirs, dir)
 			}
 		}
