@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/token"
-	"sort"
 )
 
 // Step is one hop of a summary's witness path: either the direct source
@@ -231,15 +230,4 @@ func whyPath(s *FactStore, g *callGraph, start *FuncNode, pick func(*FuncFacts) 
 // findNode resolves a Key() back to its node.
 func findNode(g *callGraph, key string) *FuncNode {
 	return g.byKey[key]
-}
-
-// sortedFuncNames lists the function keys with facts in pkgPath, sorted.
-func (s *FactStore) sortedFuncNames(pkgPath string) []string {
-	m := s.pkgs[pkgPath]
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

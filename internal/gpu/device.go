@@ -103,11 +103,6 @@ func (d *Device) Pool() *PinnedPool { return d.pool }
 // Model returns the device's kernel-rate model.
 func (d *Device) Model() perfmodel.GPU { return d.cfg.Model }
 
-// SetModel replaces the kernel-rate model, e.g. when the engine clock is
-// reduced mid-experiment or thermal drift rescales the chip's rate. Already
-// booked spans are unaffected.
-func (d *Device) SetModel(m perfmodel.GPU) { d.cfg.Model = m }
-
 // SetHealth installs a health source for fault injection; nil (the default)
 // keeps the device permanently healthy with no per-operation overhead.
 func (d *Device) SetHealth(h Health) { d.health = h }

@@ -422,16 +422,6 @@ func (s *Sim) graphRateSeeds(nb int) []taskgraph.RateSeed {
 // Done reports whether every column has been factored.
 func (s *Sim) Done() bool { return s.j >= s.cfg.N }
 
-// Time returns the run's virtual clock.
-func (s *Sim) Time() sim.Time { return s.t }
-
-// Iterations returns the number of iterations executed so far (including
-// re-executions after a restore).
-func (s *Sim) Iterations() int { return s.iters }
-
-// Element returns the compute element the run executes on.
-func (s *Sim) Element() *element.Element { return s.el }
-
 // Step executes one Linpack iteration. It panics once Done.
 func (s *Sim) Step() {
 	if s.Done() {

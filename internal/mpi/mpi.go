@@ -217,9 +217,6 @@ type Comm struct {
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.size }
-
 // Now returns the rank's virtual time.
 func (c *Comm) Now() sim.Time { return c.clock.Now() }
 

@@ -27,10 +27,6 @@ type batch struct {
 	drained int
 }
 
-func (b *batch) work() float64 {
-	return 2 * float64(b.rows) * float64(b.key.n) * float64(b.key.k)
-}
-
 // policy is the adaptive batching state for one batch key — the serving
 // analog of one database_g bucket: where the partitioner learns the split
 // that balances a shape across devices, the batcher learns the batch size
@@ -209,15 +205,4 @@ func (ba *Batcher) sealIf(key batchKey, seq uint64) *batch {
 // window returns the current assembly window for a key.
 func (ba *Batcher) window(key batchKey) sim.Time {
 	return ba.policyFor(key).window
-}
-
-// Target returns the current occupancy target for a (kind, n, k) shape —
-// exposed for tests and the metrics endpoint.
-func (ba *Batcher) Target(kind Kind, n, k int) int {
-	return ba.policyFor(batchKey{kind, n, k}).target
-}
-
-// Window returns the current assembly window for a (kind, n, k) shape.
-func (ba *Batcher) Window(kind Kind, n, k int) sim.Time {
-	return ba.policyFor(batchKey{kind, n, k}).window
 }

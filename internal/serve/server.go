@@ -287,15 +287,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Engine exposes the service's event loop (the load generator schedules
-// arrival events onto it).
-func (s *Server) Engine() *sim.Engine { return s.eng }
-
 // Now returns the current virtual time.
 func (s *Server) Now() sim.Time { return s.eng.Now() }
-
-// Batcher exposes the adaptive batching state (tests and metrics).
-func (s *Server) Batcher() *Batcher { return s.ba }
 
 // Stats returns the run's aggregate counters so far.
 func (s *Server) Stats() Stats { return s.stats }

@@ -71,9 +71,6 @@ func (c Config) Blocks() int { return (c.NZ + c.BlockZ - 1) / c.BlockZ }
 // points returns the grid size.
 func (c Config) points() int { return c.NX * c.NY * c.NZ }
 
-// Flops returns the total operation count of the sweep.
-func (c Config) Flops() float64 { return flopsPerCell * float64(c.points()) * float64(c.Steps) }
-
 // Sweep is one sweep instance: the configuration plus, for real runs, the
 // two parity buffers the tasks ping-pong between.
 type Sweep struct {

@@ -47,13 +47,6 @@ type Handle struct {
 	bytes int64
 }
 
-// Name returns the handle's name; residency is keyed by it, so names must be
-// unique within a graph.
-func (h *Handle) Name() string { return h.name }
-
-// Bytes returns the handle's footprint.
-func (h *Handle) Bytes() int64 { return h.bytes }
-
 // Access pairs a handle with the declared mode.
 type Access struct {
 	H    *Handle
@@ -187,7 +180,8 @@ func New() *Graph {
 	}
 }
 
-// NewHandle registers a data handle of the given footprint.
+// NewHandle registers a data handle of the given footprint. Device
+// residency is keyed by name, so names must be unique within a graph.
 func (g *Graph) NewHandle(name string, bytes int64) *Handle {
 	if bytes < 0 {
 		panic(fmt.Sprintf("taskgraph: negative handle size %d for %q", bytes, name))

@@ -332,14 +332,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 }
 
-// Bounds returns the bucket upper bounds.
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {

@@ -71,9 +71,6 @@ func NewTracer() *Tracer {
 	return &Tracer{tids: make(map[string]int)}
 }
 
-// Enabled reports whether events are recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 func (t *Tracer) add(e Event) {
 	t.mu.Lock()
 	if _, ok := t.tids[e.Track]; !ok {
